@@ -355,10 +355,8 @@ EmissionPlan EmissionPlan::build(const CompiledHybrid &C, EmitSchedule S) {
   const core::HexagonGeometry &Hex = Sched.hex().hexagon();
   Plan.MinB = Hex.minB();
   Plan.MaxB = Hex.maxB();
-  Plan.RowLo.resize(Plan.Period);
-  Plan.RowHi.resize(Plan.Period);
-  for (int64_t A = 0; A < Plan.Period; ++A)
-    Hex.rowRange(A, Plan.RowLo[A], Plan.RowHi[A]);
+  Plan.RowLo = Hex.rowLo();
+  Plan.RowHi = Hex.rowHi();
 
   for (unsigned Dim = 1; Dim < Plan.Rank; ++Dim) {
     InnerTilePlan I;

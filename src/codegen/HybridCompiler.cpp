@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <map>
+#include <stdexcept>
 
 using namespace hextile;
 using namespace hextile::codegen;
@@ -153,15 +154,14 @@ CompiledHybrid::kernelModels(const gpu::DeviceConfig &Dev) const {
   return {K};
 }
 
-exec::ScheduleKeyFn CompiledHybrid::scheduleKey(uint64_t BlockPermSeed)
+exec::ScheduleKeyIntoFn CompiledHybrid::scheduleKey(uint64_t BlockPermSeed)
     const {
   // Capture by value: the key function outlives the compiler result's
   // stack frame uses.
   core::HybridSchedule S = Sched;
-  return [S, BlockPermSeed](std::span<const int64_t> Point) {
+  return [S, BlockPermSeed](std::span<const int64_t> Point,
+                            std::vector<int64_t> &Key) {
     core::HybridVector V = S.map(Point);
-    std::vector<int64_t> Key;
-    Key.reserve(2 + V.S.size() + 1 + V.LocalS.size());
     Key.push_back(V.T);
     Key.push_back(V.Phase);
     int64_t S0 = V.S[0];
@@ -178,7 +178,6 @@ exec::ScheduleKeyFn CompiledHybrid::scheduleKey(uint64_t BlockPermSeed)
     Key.push_back(V.LocalT);
     for (int64_t X : V.LocalS)
       Key.push_back(X);
-    return Key;
   };
 }
 
@@ -226,7 +225,8 @@ CompiledHybrid codegen::compileHybridTuned(const ir::StencilProgram &P,
 CompiledHybrid codegen::compileHybrid(const ir::StencilProgram &P,
                                       const TileSizeRequest &Sizes,
                                       const OptimizationConfig &Config) {
-  assert(P.verify().empty() && "compiling an invalid program");
+  if (!P.verify().empty())
+    throw std::invalid_argument("compiling an invalid program");
   deps::DependenceInfo Deps = deps::analyzeDependences(P);
   std::vector<deps::ConeBounds> Cones = deps::computeAllConeBounds(Deps);
 
@@ -240,7 +240,8 @@ CompiledHybrid codegen::compileHybrid(const ir::StencilProgram &P,
   } else {
     std::optional<core::TileSizeChoice> Choice =
         core::selectTileSizes(P, Deps, Cones, Sizes.Constraints);
-    assert(Choice && "no tile size fits the shared-memory bound");
+    if (!Choice)
+      throw std::invalid_argument("no tile size fits the shared-memory bound");
     H = Sizes.H.value_or(Choice->Params.H);
     W0 = Sizes.W0.value_or(Choice->Params.W0);
     InnerW = Sizes.InnerWidths.empty() ? Choice->InnerWidths
@@ -248,7 +249,8 @@ CompiledHybrid codegen::compileHybrid(const ir::StencilProgram &P,
   }
 
   core::HexTileParams Params(H, W0, Cones[0].Delta0, Cones[0].Delta1);
-  assert(Params.isValid() && "tile sizes violate the width bound (1)");
+  if (!Params.isValid())
+    throw std::invalid_argument("tile sizes violate the width bound (1)");
   std::vector<Rational> InnerD;
   for (unsigned I = 1; I < Cones.size(); ++I)
     InnerD.push_back(Cones[I].Delta1);

@@ -67,7 +67,7 @@ public:
   /// linearization, so passing a nonzero \p BlockPermSeed permutes the
   /// block order pseudo-randomly -- an illegal cross-block dependence then
   /// shows up as a result mismatch for some seed.
-  exec::ScheduleKeyFn scheduleKey(uint64_t BlockPermSeed = 0) const;
+  exec::ScheduleKeyIntoFn scheduleKey(uint64_t BlockPermSeed = 0) const;
 
   /// Threads per block, (1, w1, ..., wn) as in Sec. 6.2.
   int64_t threadsPerBlock() const;
@@ -81,6 +81,8 @@ private:
 };
 
 /// Compiles \p P with the given tile-size request and optimization config.
+/// Throws std::invalid_argument when \p P fails verification, no tile size
+/// fits the shared-memory bound, or the sizes violate the width bound (1).
 CompiledHybrid compileHybrid(const ir::StencilProgram &P,
                              const TileSizeRequest &Sizes = {},
                              const OptimizationConfig &Config = {});

@@ -74,6 +74,11 @@ public:
 
 private:
   HexagonGeometry Geometry;
+  // Integer constants of eqs. (2)-(5), fixed at construction so boxCoord
+  // and locate do only floorDiv/euclidMod work.
+  int64_t TimePeriod, SpacePeriod, Drift;
+  int64_t TimeShift0;  ///< h + 1: phase-0 time offset, eq. (2).
+  int64_t SpaceShift0; ///< |_d0h_| + w0 + 1: phase-0 s0 offset, eq. (3).
 };
 
 } // namespace core

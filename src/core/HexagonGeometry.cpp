@@ -39,71 +39,48 @@ HexagonGeometry::HexagonGeometry(const HexTileParams &Params)
       A * N0 - B * D0, K(H * N0 - D0 * (F0 + W0 + F1) - (D0 - 1))));
   // (13) a >= 0
   Shape.addConstraint(Constraint::ge(A, K(0)));
-}
 
-bool HexagonGeometry::contains(int64_t A, int64_t B) const {
-  int64_t Point[2] = {A, B};
-  return Shape.contains(Point);
-}
-
-int64_t HexagonGeometry::pointsPerTile() const {
-  int64_t N = 0;
-  for (int64_t A = 0; A <= 2 * P.H + 1; ++A) {
-    int64_t Lo, Hi;
-    rowRange(A, Lo, Hi);
-    if (Lo <= Hi)
-      N += Hi - Lo + 1;
+  // Solve the constraints once per row: all have the form ca*a + cb*b >= c
+  // after normalization, so specialize at a and intersect the b-intervals.
+  MinB = std::numeric_limits<int64_t>::max();
+  MaxB = std::numeric_limits<int64_t>::min();
+  for (int64_t Row = 0; Row < P.timePeriod(); ++Row) {
+    int64_t Lo = std::numeric_limits<int64_t>::min();
+    int64_t Hi = std::numeric_limits<int64_t>::max();
+    for (const poly::Constraint &C : Shape.constraints()) {
+      const poly::AffineExpr &E = C.Expr;
+      Rational Ca = E.coeff(0), Cb = E.coeff(1);
+      Rational Rest = Ca * Rational(Row) + E.constantTerm();
+      assert(C.Kind == poly::ConstraintKind::GE);
+      if (Cb.isZero()) {
+        assert(!Rest.isNegative() && "rows 0..2h+1 satisfy (7) and (13)");
+        continue;
+      }
+      // Cb*b + Rest >= 0.
+      Rational Bound = -Rest / Cb;
+      if (Cb > Rational(0))
+        Lo = std::max(Lo, Bound.ceil());
+      else
+        Hi = std::min(Hi, Bound.floor());
+    }
+    RowLo.push_back(Lo);
+    RowHi.push_back(Hi);
+    if (Lo <= Hi) {
+      MinB = std::min(MinB, Lo);
+      MaxB = std::max(MaxB, Hi);
+      Points += Hi - Lo + 1;
+    }
   }
-  return N;
 }
 
 void HexagonGeometry::rowRange(int64_t A, int64_t &Lo, int64_t &Hi) const {
-  // All constraints have the form  ca*a + cb*b >= c  after normalization;
-  // specialize at the given a and intersect the b-intervals.
-  Lo = std::numeric_limits<int64_t>::min();
-  Hi = std::numeric_limits<int64_t>::max();
-  for (const poly::Constraint &C : Shape.constraints()) {
-    const poly::AffineExpr &E = C.Expr;
-    Rational Ca = E.coeff(0), Cb = E.coeff(1), K = E.constantTerm();
-    Rational Rest = Ca * Rational(A) + K;
-    assert(C.Kind == poly::ConstraintKind::GE);
-    if (Cb.isZero()) {
-      if (Rest.isNegative()) { // Row infeasible.
-        Lo = 1;
-        Hi = 0;
-        return;
-      }
-      continue;
-    }
-    // Cb*b + Rest >= 0.
-    Rational Bound = -Rest / Cb;
-    if (Cb > Rational(0))
-      Lo = std::max(Lo, Bound.ceil());
-    else
-      Hi = std::min(Hi, Bound.floor());
+  if (A < 0 || A >= static_cast<int64_t>(RowLo.size())) {
+    Lo = 1; // Constraint (7) or (13) empties the row.
+    Hi = 0;
+    return;
   }
-}
-
-int64_t HexagonGeometry::minB() const {
-  int64_t Best = std::numeric_limits<int64_t>::max();
-  for (int64_t A = 0; A <= 2 * P.H + 1; ++A) {
-    int64_t Lo, Hi;
-    rowRange(A, Lo, Hi);
-    if (Lo <= Hi)
-      Best = std::min(Best, Lo);
-  }
-  return Best;
-}
-
-int64_t HexagonGeometry::maxB() const {
-  int64_t Best = std::numeric_limits<int64_t>::min();
-  for (int64_t A = 0; A <= 2 * P.H + 1; ++A) {
-    int64_t Lo, Hi;
-    rowRange(A, Lo, Hi);
-    if (Lo <= Hi)
-      Best = std::max(Best, Hi);
-  }
-  return Best;
+  Lo = RowLo[A];
+  Hi = RowHi[A];
 }
 
 std::string HexagonGeometry::ascii() const {

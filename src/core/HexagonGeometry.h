@@ -17,8 +17,10 @@
 ///   (13) a >= 0
 ///
 /// with delta0 = n0/d0 and delta1 = n1/d1. Every full tile contains exactly
-/// the same number of integer points (the key difference from diamond
-/// tiling, Sec. 2), which pointsPerTile() computes exactly.
+/// the same integer points (the key difference from diamond tiling, Sec. 2),
+/// so the constructor solves the constraints once into a table of inclusive
+/// b-ranges, one per row a in [0, 2h+2), and every membership, row, extent
+/// and count query reads that table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,23 +41,32 @@ public:
 
   const HexTileParams &params() const { return P; }
 
-  /// True if local point (a, b) lies inside the hexagon. Constraints (7)
-  /// and (13) are included even though box-local points always satisfy
-  /// them, so the shape is self-contained.
-  bool contains(int64_t A, int64_t B) const;
+  /// True if local point (a, b) lies inside the hexagon. Rows outside
+  /// [0, 2h+1] are empty (constraints (7) and (13)), so the shape is
+  /// self-contained.
+  bool contains(int64_t A, int64_t B) const {
+    if (A < 0 || A >= static_cast<int64_t>(RowLo.size()))
+      return false;
+    return RowLo[A] <= B && B <= RowHi[A];
+  }
 
-  /// The hexagon as an integer set over dims (a, b).
+  /// The hexagon as an integer set over dims (a, b): the constraint source
+  /// of the row table and the polyhedral reference the tests check it by.
   const poly::IntegerSet &shape() const { return Shape; }
 
   /// Exact number of integer points in the (full) tile.
-  int64_t pointsPerTile() const;
+  int64_t pointsPerTile() const { return Points; }
 
   /// Inclusive b-range of the hexagon (for footprint bounding boxes).
-  int64_t minB() const;
-  int64_t maxB() const;
+  int64_t minB() const { return MinB; }
+  int64_t maxB() const { return MaxB; }
 
   /// Inclusive b-range of hexagon row a (empty rows return Lo > Hi).
   void rowRange(int64_t A, int64_t &Lo, int64_t &Hi) const;
+
+  /// The row table: inclusive b-bounds of rows a = 0 .. 2h+1.
+  const std::vector<int64_t> &rowLo() const { return RowLo; }
+  const std::vector<int64_t> &rowHi() const { return RowHi; }
 
   /// ASCII rendering of the shape ('#' inside, '.' outside), one row per a.
   std::string ascii() const;
@@ -63,6 +74,8 @@ public:
 private:
   HexTileParams P;
   poly::IntegerSet Shape;
+  std::vector<int64_t> RowLo, RowHi;
+  int64_t MinB, MaxB, Points = 0;
 };
 
 } // namespace core

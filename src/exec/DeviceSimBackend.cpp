@@ -12,14 +12,14 @@
 using namespace hextile;
 using namespace hextile::exec;
 
-DeviceSimBackend::DeviceSimBackend(gpu::DeviceTopology Topo, bool Threaded)
-    : Topo(std::move(Topo)), Threaded(Threaded) {
+DeviceSimBackend::DeviceSimBackend(gpu::DeviceTopology Topo)
+    : Topo(std::move(Topo)) {
   if (this->Topo.Devices.empty())
     this->Topo = defaultSimTopology(1);
 }
 
-DeviceSimBackend::DeviceSimBackend(unsigned NumDevices, bool Threaded)
-    : DeviceSimBackend(defaultSimTopology(NumDevices), Threaded) {}
+DeviceSimBackend::DeviceSimBackend(unsigned NumDevices)
+    : DeviceSimBackend(defaultSimTopology(NumDevices)) {}
 
 bool DeviceSimBackend::brokenBarrierSupported() {
 #ifdef HEXTILE_DEVICESIM_TEST_HOOKS
@@ -171,11 +171,11 @@ void DeviceSimBackend::runWavefront(const ir::StencilProgram &P,
   // "At most MinTaskInstances runs inline" -- the exact boundary
   // ThreadPoolBackend and ThreadPool::parallelFor document and implement,
   // so one threshold value batches identically across backends.
-  bool UsePool = Threaded && N > 1 && W.size() > MinTaskInstances;
+  bool UsePool = N > 1 && W.size() > MinTaskInstances;
   if (!UsePool) {
-    // Inline: sequential devices, trivially ordered two phases. This is
-    // both serial mode and the threaded mode's small-wavefront batch path
-    // (band-edge wavefronts are not worth two pool barriers).
+    // Inline: sequential devices, trivially ordered two phases -- the
+    // small-wavefront batch path (band-edge wavefronts are not worth two
+    // pool barriers).
     for (size_t Dev = 0; Dev < N; ++Dev)
       Compute(Dev);
     for (size_t Dev = 0; Dev < N; ++Dev)
@@ -303,7 +303,7 @@ void DeviceSimBackend::runOverlappedBand(const ir::StencilProgram &P,
   size_t BandInstances =
       static_cast<size_t>(std::max<int64_t>(0, Hi0 - Lo0) * Inner) *
       static_cast<size_t>(Ticks);
-  bool UsePool = Threaded && N > 1 && BandInstances > MinTaskInstances;
+  bool UsePool = N > 1 && BandInstances > MinTaskInstances;
   if (!UsePool) {
     for (size_t Dev = 0; Dev < N; ++Dev)
       Compute(Dev);

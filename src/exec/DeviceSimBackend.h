@@ -19,11 +19,11 @@
 ///      its dirty boundary values into the neighbors' rings, and the
 ///      backend accumulates the traffic (total, per device, per link).
 ///
-/// In the default *threaded* mode each simulated device is driven by its
-/// own exec::ThreadPool worker (the pool holds one participant per
-/// device), so devices genuinely advance concurrently between wavefront
-/// barriers -- the multi-GPU execution model the paper's Sec. 5 block-level
-/// parallelism claim implies. One wavefront is a two-phase barrier:
+/// Each simulated device is driven by its own exec::ThreadPool worker (the
+/// pool holds one participant per device), so devices genuinely advance
+/// concurrently between wavefront barriers -- the multi-GPU execution model
+/// the paper's Sec. 5 block-level parallelism claim implies. One wavefront
+/// is a two-phase barrier:
 ///
 ///     parallelFor(device: compute own queue)     -- phase 1
 ///         ... pool barrier (release/acquire) ...
@@ -47,9 +47,8 @@
 /// caller (sequential devices, no pool handoff), the same "at most N runs
 /// inline" boundary ThreadPoolBackend and ThreadPool::parallelFor use:
 /// replays dominated by tiny band-edge wavefronts would otherwise pay two
-/// barriers per wavefront for no overlap. Serial mode (Threaded = false)
-/// retires every wavefront that way -- the legacy deterministic replay,
-/// still pinned by tests.
+/// barriers per wavefront for no overlap. A floor of SIZE_MAX retires
+/// every wavefront that way: a fully sequential-device replay.
 ///
 /// Beyond the per-wavefront protocol, runOverlappedBand executes one time
 /// band of an overlapped (trapezoidal) schedule as a *device-level*
@@ -94,9 +93,9 @@ class PartitionedGridStorage;
 /// any other FieldStorage is rejected with std::invalid_argument.
 class DeviceSimBackend final : public ExecutionBackend {
 public:
-  explicit DeviceSimBackend(gpu::DeviceTopology Topo, bool Threaded = true);
+  explicit DeviceSimBackend(gpu::DeviceTopology Topo);
   /// Uniform chain of \p NumDevices GTX 470-class devices.
-  explicit DeviceSimBackend(unsigned NumDevices, bool Threaded = true);
+  explicit DeviceSimBackend(unsigned NumDevices);
 
   const char *name() const override { return "devicesim"; }
   unsigned concurrency() const override { return Topo.numDevices(); }
@@ -105,14 +104,10 @@ public:
     return &Topo;
   }
 
-  /// Whether wavefronts run devices concurrently (two-phase barrier) or
-  /// sequentially (legacy deterministic replay).
-  bool threaded() const { return Threaded; }
-
   /// Batching floor: a wavefront with *at most* this many instances
-  /// retires inline on the caller even in threaded mode (no pool handoff),
-  /// matching ThreadPoolBackend's documented boundary. 0 sends every
-  /// multi-device wavefront through the pool.
+  /// retires inline on the caller (no pool handoff), matching
+  /// ThreadPoolBackend's documented boundary. 0 sends every multi-device
+  /// wavefront through the pool; SIZE_MAX runs the devices sequentially.
   void setMinTaskInstances(size_t N) { MinTaskInstances = N; }
   size_t minTaskInstances() const { return MinTaskInstances; }
 
@@ -148,7 +143,6 @@ private:
   void ensurePool(unsigned NumDevices);
 
   gpu::DeviceTopology Topo;
-  bool Threaded = true;
   bool BrokenBarrier = false;
   size_t MinTaskInstances = 128;
 

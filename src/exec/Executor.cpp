@@ -61,8 +61,7 @@ void exec::runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
   ExecutionBackend *Backend = Opts.BackendOverride;
   if (!Backend) {
     Owned = makeBackend(Opts.Backend, Opts.NumThreads, Opts.NumDevices,
-                        Opts.Topology, Opts.DeviceSimThreaded,
-                        Opts.MinTaskInstances);
+                        Opts.Topology, Opts.MinTaskInstances);
     Backend = Owned.get();
   }
 
@@ -75,13 +74,6 @@ void exec::runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
       [&](const Wavefront &W) { Backend->runWavefront(P, Storage, W); },
       Opts.Stats);
   Backend->finishReplay(Opts.Stats);
-}
-
-void exec::runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
-                       const core::IterationDomain &Domain,
-                       const ScheduleKeyFn &Key,
-                       const ScheduleRunOptions &Opts) {
-  runSchedule(P, Storage, Domain, adaptKeyFn(Key), Opts);
 }
 
 std::string exec::checkScheduleEquivalence(const ir::StencilProgram &P,
@@ -97,10 +89,4 @@ std::string exec::checkScheduleEquivalence(const ir::StencilProgram &P,
   // Compare the last TimeBuffers' worth of steps: every live value.
   int64_t LastStep = P.timeSteps() - 1;
   return compareStoragesAtStep(Ref, *Tiled, LastStep);
-}
-
-std::string exec::checkScheduleEquivalence(const ir::StencilProgram &P,
-                                           const ScheduleKeyFn &Key,
-                                           const ScheduleRunOptions &Opts) {
-  return checkScheduleEquivalence(P, adaptKeyFn(Key), Opts);
 }

@@ -119,14 +119,12 @@ struct ScheduleRunOptions {
   unsigned NumDevices = 2;
   /// Non-owning explicit device topology for BackendKind::DeviceSim.
   const gpu::DeviceTopology *Topology = nullptr;
-  /// BackendKind::DeviceSim execution model: true runs each device on its
-  /// own pool worker between two-phase wavefront barriers, false retires
-  /// devices sequentially (the legacy deterministic replay).
-  bool DeviceSimThreaded = true;
   /// Batching floor of the parallel backends: wavefronts with at most this
   /// many instances run inline on the caller (no pool handoff) and no
   /// dispatched chunk is smaller. 1 parallelizes every wavefront --
-  /// required when a test wants races exposed on tiny fronts.
+  /// required when a test wants races exposed on tiny fronts; SIZE_MAX
+  /// runs every wavefront inline (DeviceSim then retires its devices
+  /// sequentially).
   size_t MinTaskInstances = 128;
   /// Halo-exchange cadence of a DeviceSim replay, in full time steps:
   /// makeStorage provisions the partitioned storage's rings (and owned
@@ -154,18 +152,10 @@ std::unique_ptr<FieldStorage> makeStorage(const ir::StencilProgram &P,
                                           const Initializer &Init =
                                               defaultInit);
 
-/// Replays every instance of \p Domain ordered by \p Key (allocation-free
-/// appending form; see Wavefront.h).
+/// Replays every instance of \p Domain ordered by \p Key (see Wavefront.h).
 void runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
                  const core::IterationDomain &Domain,
                  const ScheduleKeyIntoFn &Key,
-                 const ScheduleRunOptions &Opts = {});
-
-/// Legacy returning-form overload (adapted via adaptKeyFn; one allocation
-/// per key evaluation).
-void runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
-                 const core::IterationDomain &Domain,
-                 const ScheduleKeyFn &Key,
                  const ScheduleRunOptions &Opts = {});
 
 /// Convenience: reference-vs-schedule equivalence for \p P, with the
@@ -173,9 +163,6 @@ void runSchedule(const ir::StencilProgram &P, FieldStorage &Storage,
 /// empty string if the final fields agree bit-exactly.
 std::string checkScheduleEquivalence(const ir::StencilProgram &P,
                                      const ScheduleKeyIntoFn &Key,
-                                     const ScheduleRunOptions &Opts = {});
-std::string checkScheduleEquivalence(const ir::StencilProgram &P,
-                                     const ScheduleKeyFn &Key,
                                      const ScheduleRunOptions &Opts = {});
 
 } // namespace exec

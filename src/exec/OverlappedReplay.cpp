@@ -262,12 +262,9 @@ void runOverlappedBanded(const ir::StencilProgram &P,
           "DeviceSimBackend override, got '" +
           std::string(Opts.BackendOverride->name()) + "'");
   } else {
-    if (Opts.Topology)
-      OwnedBackend = std::make_unique<DeviceSimBackend>(
-          *Opts.Topology, Opts.DeviceSimThreaded);
-    else
-      OwnedBackend = std::make_unique<DeviceSimBackend>(
-          Opts.NumDevices, Opts.DeviceSimThreaded);
+    OwnedBackend =
+        Opts.Topology ? std::make_unique<DeviceSimBackend>(*Opts.Topology)
+                      : std::make_unique<DeviceSimBackend>(Opts.NumDevices);
     OwnedBackend->setMinTaskInstances(Opts.MinTaskInstances);
     Backend = OwnedBackend.get();
   }

@@ -152,14 +152,6 @@ private:
 
 } // namespace
 
-ScheduleKeyIntoFn exec::adaptKeyFn(ScheduleKeyFn Key) {
-  return [Key = std::move(Key)](std::span<const int64_t> Point,
-                                std::vector<int64_t> &Out) {
-    std::vector<int64_t> K = Key(Point);
-    Out.insert(Out.end(), K.begin(), K.end());
-  };
-}
-
 void exec::streamWavefronts(
     const core::IterationDomain &Domain, const ScheduleKeyIntoFn &Key,
     const WavefrontOptions &Opts,

@@ -39,21 +39,13 @@
 namespace hextile {
 namespace exec {
 
-/// Maps a canonical iteration point to its schedule key; instances execute
-/// in lexicographic key order. Instances mapping to equal keys are treated
-/// as parallel and may run in any order.
-using ScheduleKeyFn =
-    std::function<std::vector<int64_t>(std::span<const int64_t> Point)>;
-
-/// Allocation-free form: appends the key of \p Point onto \p Out (cleared
-/// by the caller), so a replay can reuse one scratch buffer across millions
-/// of evaluations instead of returning a fresh vector per instance.
+/// Maps a canonical iteration point to its schedule key by appending the
+/// key of \p Point onto \p Out (cleared by the caller), so a replay reuses
+/// one scratch buffer across millions of evaluations. Instances execute in
+/// lexicographic key order; instances mapping to equal keys are treated as
+/// parallel and may run in any order.
 using ScheduleKeyIntoFn = std::function<void(std::span<const int64_t> Point,
                                              std::vector<int64_t> &Out)>;
-
-/// Adapts the returning form to the appending form (one allocation per
-/// evaluation -- only for legacy callers; new code writes Into directly).
-ScheduleKeyIntoFn adaptKeyFn(ScheduleKeyFn Key);
 
 /// One wavefront: a flat row-major array of instance points sharing their
 /// sequential key prefix. Valid only during the sink callback.
@@ -133,10 +125,10 @@ struct ReplayStats {
   size_t HaloValuesExchanged = 0; ///< Boundary values copied device-to-device.
   size_t HaloBytesExchanged = 0;  ///< The same traffic in bytes.
   /// Largest number of device compute phases ever observed in flight at
-  /// once (threaded DeviceSim; 1 when every wavefront ran inline).
+  /// once (DeviceSim; 1 when every wavefront ran inline).
   size_t MaxConcurrentDevices = 0;
   /// Distinct OS threads that executed device compute phases over the
-  /// replay (threaded DeviceSim; >= 2 proves genuine concurrency).
+  /// replay (DeviceSim; >= 2 proves genuine concurrency).
   size_t DistinctComputeThreads = 0;
   double HaloSimulatedSeconds = 0; ///< Sum of PerLink SimulatedSeconds.
   double HaloWallSeconds = 0;      ///< Sum of PerLink WallSeconds.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 using namespace hextile;
 using namespace hextile::codegen;
@@ -30,6 +31,18 @@ TEST(HybridCompilerTest, CompilesWithExplicitSizes) {
   EXPECT_EQ(C.schedule().params().W0, 3);
   EXPECT_EQ(C.threadsPerBlock(), 32);
   EXPECT_GT(C.slabCosts().Instances, 0);
+}
+
+TEST(HybridCompilerTest, RejectedRequestsThrow) {
+  // Every rejection a request can reach is an exception with a diagnostic,
+  // never an abort: W0 = 0 violates the width bound (1), and a program
+  // that fails verification is refused before any analysis.
+  EXPECT_THROW(compileHybrid(ir::makeJacobi2D(64, 8), sizes(2, 0, {8})),
+               std::invalid_argument);
+  ir::StencilProgram Invalid; // No spatial dimensions, no statements.
+  ASSERT_NE(Invalid.verify(), "");
+  EXPECT_THROW(compileHybrid(Invalid, sizes(2, 3, {8})),
+               std::invalid_argument);
 }
 
 TEST(HybridCompilerTest, KernelModelStructure) {

@@ -63,6 +63,26 @@ TEST(HexScheduleTest, LocateAgreesWithBoxCoord) {
     }
 }
 
+TEST(HexScheduleTest, ExactCoverAcrossNegativeCoordinates) {
+  // checkExactCover sweeps t in [-30, 30] and s0 in [-90, 90]; locate's
+  // own exact-cover assert runs over the same window, and its tile must
+  // contain the point by the polyhedral reference as well as the table.
+  for (const HexTileParams &Prm :
+       {HexTileParams(1, 2, Rational(1), Rational(1)),
+        HexTileParams(3, 2, Rational(1), Rational(1, 2)),
+        HexTileParams(3, 4, Rational(1, 2), Rational(3, 2))}) {
+    HexSchedule S(Prm);
+    EXPECT_EQ(checkExactCover(S, 30, 90), "") << Prm.str();
+    for (int64_t T = -30; T <= 30; ++T)
+      for (int64_t S0 = -90; S0 <= 90; ++S0) {
+        HexTileCoord C = S.locate(T, S0);
+        int64_t Local[2] = {C.A, C.B};
+        ASSERT_TRUE(S.hexagon().shape().contains(Local))
+            << Prm.str() << " t=" << T << " s0=" << S0;
+      }
+  }
+}
+
 TEST(HexScheduleTest, PhaseOrderingWithinTimeTile) {
   // The phase-0 tile with the same T covers strictly earlier t rows than the
   // phase-1 tile's later rows: check the ordering convention (Sec. 3.3.3):

@@ -80,6 +80,18 @@ TEST_P(HexagonCrossCheck, EnumerationVisitsExactlyTheShape) {
   EXPECT_EQ(Visited, G.pointsPerTile());
 }
 
+TEST_P(HexagonCrossCheck, RowTableMatchesPolyhedralShape) {
+  // The table-backed membership must agree with the IntegerSet reference at
+  // every point of the phase box, plus a one-cell margin around it.
+  HexagonGeometry G(params());
+  for (int64_t A = -1; A <= params().timePeriod(); ++A)
+    for (int64_t B = -1; B <= params().spacePeriod(); ++B) {
+      int64_t Pt[2] = {A, B};
+      EXPECT_EQ(G.contains(A, B), G.shape().contains(Pt))
+          << "a=" << A << " b=" << B;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, HexagonCrossCheck,
     ::testing::Values(std::make_tuple(1, 1, 1, 1),

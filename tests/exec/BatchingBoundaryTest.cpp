@@ -25,9 +25,9 @@ namespace {
 constexpr int64_t GridN = 34;
 constexpr size_t FrontSize = 32;
 
-ScheduleKeyFn timeOnlyKey() {
-  return [](std::span<const int64_t> Pt) {
-    return std::vector<int64_t>{Pt[0]};
+ScheduleKeyIntoFn timeOnlyKey() {
+  return [](std::span<const int64_t> Pt, std::vector<int64_t> &Out) {
+    Out.push_back(Pt[0]);
   };
 }
 

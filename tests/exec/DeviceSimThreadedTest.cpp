@@ -78,9 +78,8 @@ ReplayStats replayThreaded(const ir::StencilProgram &P,
   T.W0 = 4;
   T.InnerWidths = {5};
 
-  DeviceSimBackend Backend(Topo, /*Threaded=*/true);
+  DeviceSimBackend Backend(Topo);
   Backend.setMinTaskInstances(1);
-  EXPECT_TRUE(Backend.threaded());
 
   ScheduleRunOptions Opts;
   Opts.BackendOverride = &Backend;
@@ -175,9 +174,10 @@ TEST(DeviceSimThreadedTest, DevicesGenuinelyRunConcurrently) {
       << ", DistinctComputeThreads=" << Stats.DistinctComputeThreads << ")";
 }
 
-/// Serial mode stays what it always was: sequential devices, one thread,
-/// and a grid bit-identical to the threaded replay's (determinism of the
-/// two-phase protocol -- threading changes timing, never values).
+/// A batching floor of SIZE_MAX is the serial mode: sequential devices, one
+/// thread, and a grid bit-identical to the fully pooled replay's
+/// (determinism of the two-phase protocol -- threading changes timing,
+/// never values).
 TEST(DeviceSimThreadedTest, SerialModeMatchesThreadedBitExact) {
   ir::StencilProgram P = ir::makeHeat2D(32, 5);
   harness::OracleTiling T;
@@ -189,9 +189,9 @@ TEST(DeviceSimThreadedTest, SerialModeMatchesThreadedBitExact) {
   ASSERT_NE(S.Key, nullptr);
   core::IterationDomain Domain = core::IterationDomain::forProgram(P);
 
-  auto replay = [&](bool Threaded, ReplayStats &Stats) {
-    DeviceSimBackend Backend(defaultSimTopology(3), Threaded);
-    Backend.setMinTaskInstances(1);
+  auto replay = [&](size_t Floor, ReplayStats &Stats) {
+    DeviceSimBackend Backend(defaultSimTopology(3));
+    Backend.setMinTaskInstances(Floor);
     ScheduleRunOptions Opts;
     Opts.BackendOverride = &Backend;
     Opts.ParallelFrom = S.ParallelFrom;
@@ -202,8 +202,8 @@ TEST(DeviceSimThreadedTest, SerialModeMatchesThreadedBitExact) {
   };
 
   ReplayStats SerialStats, ThreadedStats;
-  std::unique_ptr<FieldStorage> Serial = replay(false, SerialStats);
-  std::unique_ptr<FieldStorage> Threaded = replay(true, ThreadedStats);
+  std::unique_ptr<FieldStorage> Serial = replay(SIZE_MAX, SerialStats);
+  std::unique_ptr<FieldStorage> Threaded = replay(1, ThreadedStats);
 
   EXPECT_EQ(compareStoragesAtStep(*Serial, *Threaded, P.timeSteps() - 1),
             "");
@@ -233,7 +233,7 @@ TEST(DeviceSimThreadedTest, BatchingFloorKeepsSmallWavefrontsInline) {
   core::IterationDomain Domain = core::IterationDomain::forProgram(P);
 
   auto replay = [&](size_t Floor, ReplayStats &Stats) {
-    DeviceSimBackend Backend(defaultSimTopology(2), /*Threaded=*/true);
+    DeviceSimBackend Backend(defaultSimTopology(2));
     Backend.setMinTaskInstances(Floor);
     ScheduleRunOptions Opts;
     Opts.BackendOverride = &Backend;
@@ -292,7 +292,7 @@ TEST(DeviceSimThreadedTest, BrokenBarrierIsCaughtByDifferentialCheck) {
 
   bool Caught = false;
   for (uint64_t Seed : {0x1111ull, 0x2222ull, 0x3333ull, 0x4444ull}) {
-    DeviceSimBackend Backend(Topo, /*Threaded=*/true);
+    DeviceSimBackend Backend(Topo);
     Backend.setMinTaskInstances(1);
     Backend.setBrokenBarrierForTesting(true);
     ScheduleRunOptions Opts;

@@ -43,8 +43,9 @@ TEST(ExecutorTest, ReferenceMatchesHandComputedJacobi1D) {
 TEST(ExecutorTest, IdentityScheduleEquivalence) {
   // The canonical order itself must be bit-equivalent to the reference.
   ir::StencilProgram P = ir::makeJacobi2D(16, 5);
-  ScheduleKeyFn Key = [](std::span<const int64_t> Pt) {
-    return std::vector<int64_t>(Pt.begin(), Pt.end());
+  ScheduleKeyIntoFn Key = [](std::span<const int64_t> Pt,
+                             std::vector<int64_t> &Out) {
+    Out.insert(Out.end(), Pt.begin(), Pt.end());
   };
   EXPECT_EQ(checkScheduleEquivalence(P, Key), "");
 }
@@ -53,8 +54,9 @@ TEST(ExecutorTest, PerStepParallelShuffleIsSafe) {
   // Points within one canonical time step carry no dependences; shuffling
   // them must not change the result.
   ir::StencilProgram P = ir::makeHeat2D(12, 4);
-  ScheduleKeyFn Key = [](std::span<const int64_t> Pt) {
-    return std::vector<int64_t>{Pt[0]};
+  ScheduleKeyIntoFn Key = [](std::span<const int64_t> Pt,
+                             std::vector<int64_t> &Out) {
+    Out.push_back(Pt[0]);
   };
   ScheduleRunOptions Opts;
   Opts.ShuffleSeed = 1234567;
@@ -68,9 +70,8 @@ TEST(ExecutorTest, IllegalScheduleIsDetected) {
   // not a sufficient negative test: for some step counts the rotating
   // buffers alias so that reversal reproduces the forward results.)
   ir::StencilProgram P = ir::makeJacobi2D(10, 4);
-  ScheduleKeyFn Chaos = [](std::span<const int64_t>) {
-    return std::vector<int64_t>{};
-  };
+  ScheduleKeyIntoFn Chaos = [](std::span<const int64_t>,
+                               std::vector<int64_t> &) {};
   ScheduleRunOptions Opts;
   Opts.ShuffleSeed = 99991;
   Opts.ParallelFrom = 0;
@@ -166,8 +167,9 @@ TEST(ExecutorTest, NegativeNumThreadsIsRejectedWithClearError) {
   ScheduleRunOptions Opts;
   Opts.Backend = BackendKind::ThreadPool;
   Opts.NumThreads = -1;
-  ScheduleKeyFn Key = [](std::span<const int64_t> Pt) {
-    return std::vector<int64_t>(Pt.begin(), Pt.end());
+  ScheduleKeyIntoFn Key = [](std::span<const int64_t> Pt,
+                             std::vector<int64_t> &Out) {
+    Out.insert(Out.end(), Pt.begin(), Pt.end());
   };
   EXPECT_THROW(checkScheduleEquivalence(P, Key, Opts),
                std::invalid_argument);

@@ -82,16 +82,17 @@ TEST(OverlappedReplayTest, RedundancyAccountsForEveryExtraInstance) {
 }
 
 TEST(OverlappedReplayTest, DeviceSimBandedBitExactAcrossGallery) {
-  for (bool Threaded : {false, true}) {
+  // A floor of SIZE_MAX retires every band inline (sequential devices);
+  // a floor of 1 sends every multi-device band through the pool.
+  for (size_t Floor : {SIZE_MAX, size_t(1)}) {
     ScheduleRunOptions Opts;
     Opts.Backend = BackendKind::DeviceSim;
     Opts.NumDevices = 3;
-    Opts.DeviceSimThreaded = Threaded;
-    Opts.MinTaskInstances = 1;
+    Opts.MinTaskInstances = Floor;
     for (const ir::StencilProgram &P : smallGallery()) {
       core::OverlappedSchedule S(P, /*BandSteps=*/2, /*TileWidth=*/6);
       EXPECT_EQ(checkOverlappedEquivalence(P, S, Opts), "")
-          << P.name() << (Threaded ? " threaded" : " serial");
+          << P.name() << (Floor == 1 ? " pooled" : " inline");
     }
   }
 }

@@ -233,8 +233,7 @@ TEST(ThreadPoolBackendTest, PooledReplayMatchesSerialReplayBitExact) {
   Opts.NumThreads = 4;
   runSchedule(P, Pooled, Domain, S.Key, Opts);
 
-  EXPECT_EQ(GridStorage::compareAtStep(Serial, Pooled, P.timeSteps() - 1),
-            "");
+  EXPECT_EQ(compareStoragesAtStep(Serial, Pooled, P.timeSteps() - 1), "");
 }
 
 TEST(ThreadPoolBackendTest, RacyIllegalTilingIsFlagged) {

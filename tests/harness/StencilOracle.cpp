@@ -357,8 +357,7 @@ std::string harness::runDifferential(const ir::StencilProgram &P,
   // DeviceSim backend keeps one device chain.
   std::unique_ptr<exec::ExecutionBackend> Backend =
       exec::makeBackend(Opts.Backend, Opts.NumThreads, Opts.NumDevices,
-                        /*Topology=*/nullptr, Opts.DeviceSimThreaded,
-                        Opts.MinTaskInstances);
+                        /*Topology=*/nullptr, Opts.MinTaskInstances);
   if (K == ScheduleKind::Overlapped) {
     // Fifth family: no schedule key (see makeScheduleWithCones); replay
     // through the dedicated overlapped driver. Bands of H+1 steps mirror
@@ -378,7 +377,6 @@ std::string harness::runDifferential(const ir::StencilProgram &P,
       RunOpts.Backend = Opts.Backend;
       RunOpts.NumThreads = Opts.NumThreads;
       RunOpts.NumDevices = Opts.NumDevices;
-      RunOpts.DeviceSimThreaded = Opts.DeviceSimThreaded;
       RunOpts.MinTaskInstances = Opts.MinTaskInstances;
       RunOpts.BackendOverride = Backend.get();
       std::unique_ptr<exec::FieldStorage> Got =
@@ -391,7 +389,7 @@ std::string harness::runDifferential(const ir::StencilProgram &P,
            << " backend=" << Backend->name();
         if (Opts.Backend == exec::BackendKind::DeviceSim)
           OS << " devices=" << Opts.NumDevices
-             << (Opts.DeviceSimThreaded ? " threaded" : " sequential");
+             << " min_task_instances=" << Opts.MinTaskInstances;
         OS << " schedule{" << Sched.str() << "} seed=0x" << std::hex
            << Opts.Seed << std::dec << " shuffle=" << Shuffle
            << " diverges from the row-major reference: " << Diff << "\n";
@@ -432,7 +430,7 @@ std::string harness::runDifferential(const ir::StencilProgram &P,
          << " backend=" << Backend->name();
       if (Opts.Backend == exec::BackendKind::DeviceSim)
         OS << " devices=" << Opts.NumDevices
-           << (Opts.DeviceSimThreaded ? " threaded" : " sequential");
+           << " min_task_instances=" << Opts.MinTaskInstances;
       OS << " tiling{" << T.str()
          << "} seed=0x" << std::hex << Opts.Seed << std::dec
          << " shuffle=" << Shuffle

@@ -638,6 +638,27 @@ TEST(CompileServiceTest, CudaTargetServesSourceUnitsWithoutACompiler) {
   fs::remove_all(Opts.StoreDir);
 }
 
+/// A request the compiler rejects -- W0 = 0 violates the width bound (1) --
+/// comes back Failed with the compiler's diagnostic instead of aborting
+/// the process, and the service keeps serving valid requests afterwards.
+TEST(CompileServiceTest, InvalidTileSizesFailTheRequestNotTheService) {
+  CompileService Svc(CompileServiceOptions{});
+  CompileRequest Bad = makeRequest(gallery()[2], 'a', TargetKind::Cuda);
+  Bad.Tiling.W0 = 0;
+  CompileResult Res = Svc.compile(Bad);
+  EXPECT_FALSE(Res.ok());
+  EXPECT_EQ(Res.Stats.How, RequestOutcome::Failed);
+  EXPECT_NE(Res.Error.find("tile sizes violate the width bound (1)"),
+            std::string::npos)
+      << Res.Error;
+
+  CompileResult Good =
+      Svc.compile(makeRequest(gallery()[2], 'a', TargetKind::Cuda));
+  ASSERT_TRUE(Good.ok()) << Good.Error;
+  EXPECT_EQ(Good.Stats.How, RequestOutcome::Compiled);
+  EXPECT_EQ(Svc.counters().CompileFailures, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Satellite 4 (service level): two processes sharing one store directory.
 //===----------------------------------------------------------------------===//
